@@ -23,8 +23,6 @@ namespace kspec::native {
 namespace {
 
 namespace fs = std::filesystem;
-using vgpu::Opcode;
-using vgpu::Space;
 
 // Renames a bad artifact aside so it is never read again and the next publish
 // lands cleanly. Best-effort; falls back to unlink.
@@ -34,18 +32,24 @@ void QuarantineFile(const std::string& path) {
   if (ec) fs::remove(path, ec);
 }
 
-bool IsGlobalAtomic(const vgpu::Instr& i) {
-  switch (i.op) {
-    case Opcode::kAtomAdd:
-    case Opcode::kAtomMin:
-    case Opcode::kAtomMax:
-    case Opcode::kAtomExch:
-    case Opcode::kAtomCas:
-      return i.space == Space::kGlobal;
-    default:
-      return false;
-  }
-}
+// The counters one artifact kind bumps, so both kinds share one ladder while
+// every NativeEngineStats field keeps its meaning.
+struct KindCounters {
+  std::uint64_t NativeEngineStats::*builds_started;
+  std::uint64_t NativeEngineStats::*builds_completed;
+  std::uint64_t NativeEngineStats::*build_failures;
+  std::uint64_t NativeEngineStats::*disk_hits;
+  std::uint64_t NativeEngineStats::*store_hits;
+};
+
+constexpr KindCounters kGenericCounters{
+    &NativeEngineStats::builds_started, &NativeEngineStats::builds_completed,
+    &NativeEngineStats::build_failures, &NativeEngineStats::disk_hits,
+    &NativeEngineStats::store_hits};
+constexpr KindCounters kShapeCounters{
+    &NativeEngineStats::shape_builds_started, &NativeEngineStats::shape_builds_completed,
+    &NativeEngineStats::shape_build_failures, &NativeEngineStats::shape_disk_hits,
+    &NativeEngineStats::shape_store_hits};
 
 // ---- launch callbacks (the SO's only way back into the host) ----
 
@@ -139,16 +143,18 @@ struct NativeEngine::LoadedModule {
   }
 };
 
-struct NativeEngine::VariantSlot {
+// One artifact's state. The generic artifact and every shape variant run the
+// same machine; heat, last_used and promote_queued only matter for shapes.
+struct NativeEngine::Slot {
   enum State {
     kUnknown,   // never probed (or evicted; the disk artifact may remain)
     kMissing,   // probed load-only: nothing servable, a build may fix it
-    kBuilding,  // one thread (eager launch or promoter) owns the ladder
+    kBuilding,  // one thread (launch or promoter) owns the ladder; others wait or degrade
     kReady,
     kFailed,    // build failed; sticky for the life of the process
   } state = kUnknown;
   std::shared_ptr<LoadedModule> loaded;
-  std::uint64_t heat = 0;       // launches observed for this (module, shape)
+  std::uint64_t heat = 0;       // launches observed for this slot
   std::uint64_t last_used = 0;  // LRU tick of the last serve
   bool promote_queued = false;  // a background promotion is queued/running
 };
@@ -156,17 +162,17 @@ struct NativeEngine::VariantSlot {
 struct NativeEngine::Entry {
   std::mutex mu;
   std::condition_variable cv;
-  enum State {
-    kUnknown,   // never probed
-    kMissing,   // probed (load-only): nothing servable yet, a build may fix it
-    kBuilding,  // one thread is loading/building; others wait (or degrade)
-    kReady,
-    kFailed,    // build failed; sticky for the life of the process
-  } state = kUnknown;
-  std::shared_ptr<LoadedModule> loaded;
-  // Shape-specialized variants by shape canonical text, bounded by
-  // Options::max_shape_variants. Guarded by mu like everything else here.
-  std::map<std::string, VariantSlot> variants;
+  // By shape canonical text; "" is the generic artifact, which is never
+  // evicted. Shape slots are bounded by Options::max_shape_variants.
+  std::map<std::string, Slot> slots;
+};
+
+struct NativeEngine::Policy {
+  bool may_build = false;  // run the build rung when nothing is loadable
+  bool wait = false;       // block while another thread owns the slot's ladder
+  // Non-null (shape slots only): once the slot is hot, queue a background
+  // build of this module.
+  std::shared_ptr<const kcc::CompiledModule> promote;
 };
 
 struct NativeEngine::PromoteJob {
@@ -214,7 +220,19 @@ NativeEngineStats NativeEngine::stats() const {
   return stats_;
 }
 
-bool NativeEngine::IsReady(const kcc::ModuleCacheKey& key) const {
+void NativeEngine::Count(std::uint64_t NativeEngineStats::*field, std::uint64_t n) {
+  std::lock_guard<std::mutex> lk(mu_);
+  stats_.*field += n;
+}
+
+std::shared_ptr<NativeEngine::Entry> NativeEngine::EntryFor(const kcc::ModuleCacheKey& key) {
+  std::lock_guard<std::mutex> lk(mu_);
+  std::shared_ptr<Entry>& entry = entries_[key.CanonicalText()];
+  if (!entry) entry = std::make_shared<Entry>();
+  return entry;
+}
+
+bool NativeEngine::SlotReady(const kcc::ModuleCacheKey& key, const std::string& slot_text) const {
   std::shared_ptr<Entry> entry;
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -223,65 +241,126 @@ bool NativeEngine::IsReady(const kcc::ModuleCacheKey& key) const {
     entry = it->second;
   }
   std::lock_guard<std::mutex> lk(entry->mu);
-  return entry->state == Entry::kReady;
+  auto it = entry->slots.find(slot_text);
+  return it != entry->slots.end() && it->second.state == Slot::kReady;
+}
+
+bool NativeEngine::IsReady(const kcc::ModuleCacheKey& key) const { return SlotReady(key, ""); }
+
+bool NativeEngine::IsVariantReady(const kcc::ModuleCacheKey& key, const ShapeSpec& shape) const {
+  return SlotReady(key, shape.CanonicalText());
 }
 
 bool NativeEngine::EnsureReady(const kcc::ModuleCacheKey& key, const kcc::CompiledModule& mod) {
-  return Resolve(key, &mod, /*may_build=*/true) != nullptr;
+  return Acquire(EntryFor(key), key, /*shape=*/nullptr, &mod,
+                 Policy{.may_build = true, .wait = true, .promote = nullptr}) != nullptr;
 }
 
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::Resolve(const kcc::ModuleCacheKey& key,
-                                                                  const kcc::CompiledModule* mod,
-                                                                  bool may_build) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<Entry>& slot = entries_[key.CanonicalText()];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
-  }
+std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::Acquire(
+    const std::shared_ptr<Entry>& entry, const kcc::ModuleCacheKey& key, const ShapeSpec* shape,
+    const kcc::CompiledModule* mod, const Policy& policy) {
+  const std::string slot_text = shape != nullptr ? shape->CanonicalText() : std::string();
   std::unique_lock<std::mutex> lk(entry->mu);
+  Slot& slot = entry->slots[slot_text];
+  ++slot.heat;
   for (;;) {
-    switch (entry->state) {
-      case Entry::kReady:
-        return entry->loaded;
-      case Entry::kFailed:
+    switch (slot.state) {
+      case Slot::kReady:
+        slot.last_used = ++lru_tick_;
+        return slot.loaded;
+      case Slot::kFailed:
         return nullptr;
-      case Entry::kMissing:
-        // A load-only probe already came up empty; only a build changes that.
-        if (!may_build) return nullptr;
-        break;
-      case Entry::kBuilding:
-        // kAuto launches never wait on a build; forced ones do.
-        if (!may_build) return nullptr;
+      case Slot::kBuilding:
+        // Forced and eager launches wait for the build in flight; kAuto never
+        // blocks — the generic artifact (or the decoded tier) serves it.
+        if (!policy.wait) return nullptr;
         entry->cv.wait(lk);
         continue;
-      case Entry::kUnknown:
+      case Slot::kUnknown:
+      case Slot::kMissing:
         break;
     }
     break;
   }
-  entry->state = Entry::kBuilding;
-  lk.unlock();
 
+  if (slot.state == Slot::kMissing && !policy.may_build) {
+    // The load-only ladder already came up empty; only a build changes that.
+    // Queue a background promotion once the slot is hot.
+    if (!policy.promote || slot.promote_queued || slot.heat < opts_.shape_hot_threshold ||
+        !ToolchainAvailable()) {
+      return nullptr;
+    }
+    slot.promote_queued = true;
+    lk.unlock();
+    std::lock_guard<std::mutex> lk2(mu_);
+    if (!promo_shutdown_) {
+      if (!promoter_.joinable()) promoter_ = std::thread(&NativeEngine::PromoterMain, this);
+      promo_queue_.push_back(PromoteJob{entry, key, policy.promote, *shape, slot_text});
+      promo_cv_.notify_all();
+    }
+    return nullptr;
+  }
+
+  // First probe (load-only unless the policy builds) or a build: run the
+  // ladder with the slot claimed.
+  slot.state = Slot::kBuilding;
+  lk.unlock();
   std::shared_ptr<LoadedModule> lm;
   try {
-    lm = LoadOrBuild(key, mod, may_build);
+    lm = LoadOrBuild(key, shape, mod, policy.may_build);
   } catch (...) {
     lm = nullptr;
   }
-
-  lk.lock();
-  if (lm) {
-    entry->loaded = lm;
-    entry->state = Entry::kReady;
-  } else {
-    // A failed *build* is sticky; a fruitless load-only probe is retriable
-    // once somebody may build.
-    entry->state = may_build ? Entry::kFailed : Entry::kMissing;
-  }
-  entry->cv.notify_all();
+  Finish(entry, slot_text, lm, /*built=*/policy.may_build, /*served=*/true);
   return lm;
+}
+
+void NativeEngine::Finish(const std::shared_ptr<Entry>& entry, const std::string& slot_text,
+                          std::shared_ptr<LoadedModule> lm, bool built, bool served) {
+  // Evicted handles are released outside the lock: the shared_ptr dlcloses
+  // the SO once the last in-flight launch using it drops its reference.
+  std::vector<std::shared_ptr<LoadedModule>> evicted;
+  {
+    std::lock_guard<std::mutex> lk(entry->mu);
+    Slot& slot = entry->slots[slot_text];
+    slot.promote_queued = false;
+    if (!lm) {
+      // A failed *build* is sticky; a fruitless load-only probe is retriable
+      // once somebody may build.
+      slot.loaded.reset();
+      slot.state = built ? Slot::kFailed : Slot::kMissing;
+    } else {
+      slot.loaded = std::move(lm);
+      slot.state = Slot::kReady;
+      if (served) slot.last_used = ++lru_tick_;
+      unsigned ready = 0;
+      for (const auto& [text, s] : entry->slots) {
+        if (!text.empty() && s.state == Slot::kReady) ++ready;
+      }
+      while (!slot_text.empty() && ready > opts_.max_shape_variants) {
+        auto victim = entry->slots.end();
+        for (auto it = entry->slots.begin(); it != entry->slots.end(); ++it) {
+          if (it->first.empty() || it->first == slot_text || it->second.state != Slot::kReady) {
+            continue;
+          }
+          if (victim == entry->slots.end() || it->second.last_used < victim->second.last_used) {
+            victim = it;
+          }
+        }
+        if (victim == entry->slots.end()) break;  // only the new variant left
+        // Back to kUnknown: the disk/store artifact survives eviction, so a
+        // future launch re-enters the load ladder instead of rebuilding.
+        Slot& v = victim->second;
+        evicted.push_back(std::move(v.loaded));
+        v.state = Slot::kUnknown;
+        v.heat = 0;
+        v.promote_queued = false;
+        --ready;
+      }
+    }
+    entry->cv.notify_all();
+  }
+  if (!evicted.empty()) Count(&NativeEngineStats::shape_evicted, evicted.size());
 }
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::TryLoadEnvelope(
@@ -293,15 +372,13 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::TryLoadEnvelope(
     so_bytes = kcc::DeserializeNative(envelope, &key_text);
   } catch (const SerializeError&) {
     if (!quarantine_path.empty()) QuarantineFile(quarantine_path);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.corrupt_quarantined;
+    Count(&NativeEngineStats::corrupt_quarantined);
     return nullptr;
   }
   if (key_text != expect_key_text) {
     // Hash collision: the artifact belongs to a different key. Leave it in
     // place for its own key; this launch degrades.
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.stale_discarded;
+    Count(&NativeEngineStats::stale_discarded);
     return nullptr;
   }
   return OpenSharedObject(so_bytes, expect_key_text, quarantine_path, closeable);
@@ -339,8 +416,7 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
     // on-disk original is quarantined so the rebuild replaces it.
     ::dlclose(handle);
     if (!origin.empty()) QuarantineFile(origin);
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.stale_discarded;
+    Count(&NativeEngineStats::stale_discarded);
     return nullptr;
   }
 
@@ -354,72 +430,15 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::OpenSharedObject(
 }
 
 std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuild(
-    const kcc::ModuleCacheKey& key, const kcc::CompiledModule* mod, bool may_build) {
-  // 1. Disk tier.
-  std::string disk_path;
-  if (!opts_.cache_dir.empty()) {
-    disk_path = (fs::path(opts_.cache_dir) / ArtifactFileName(key)).string();
-    std::vector<std::uint8_t> envelope;
-    if (ReadFileBytes(disk_path, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key.CanonicalText(), disk_path,
-                                    /*closeable=*/false)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.disk_hits;
-        return lm;
-      }
-    }
-  }
-
-  // 2. Shared store tier (write through to the disk tier on a hit).
-  if (opts_.store) {
-    std::vector<std::uint8_t> envelope;
-    if (opts_.store->LoadNativeBytes(key, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key.CanonicalText(), /*quarantine_path=*/"",
-                                    /*closeable=*/false)) {
-        if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.store_hits;
-        return lm;
-      }
-    }
-  }
-
-  // 3. Build.
-  if (!may_build || mod == nullptr || !ToolchainAvailable()) return nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.builds_started;
-  }
-  const std::string source = EmitModuleSource(*mod, key.CanonicalText());
-  std::string error;
-  const std::vector<std::uint8_t> so_bytes = CompileSharedObject(source, &error);
-  if (so_bytes.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.build_failures;
-    return nullptr;
-  }
-  auto lm = OpenSharedObject(so_bytes, key.CanonicalText(), /*origin=*/"",
-                             /*closeable=*/false);
-  if (!lm) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.build_failures;
-    return nullptr;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.builds_completed;
-  }
-  const std::vector<std::uint8_t> envelope = kcc::SerializeNative(so_bytes, key.CanonicalText());
-  if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-  if (opts_.store) opts_.store->PublishNativeBytes(key, envelope);
-  return lm;
-}
-
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuildVariant(
-    const kcc::ModuleCacheKey& key, const kcc::CompiledModule* mod, const ShapeSpec& shape,
+    const kcc::ModuleCacheKey& key, const ShapeSpec* shape, const kcc::CompiledModule* mod,
     bool may_build) {
-  const std::string key_text = VariantKeyText(key, shape);
-  const std::string file_name = VariantFileName(key, shape);
+  const KindCounters& c = shape != nullptr ? kShapeCounters : kGenericCounters;
+  const std::string key_text = shape != nullptr ? VariantKeyText(key, *shape) : key.CanonicalText();
+  const std::string file_name =
+      shape != nullptr ? VariantFileName(key, *shape) : ArtifactFileName(key);
+  // Only shape TUs are emitted without thread_local state, so only they may
+  // be dlclosed on eviction.
+  const bool closeable = shape != nullptr;
 
   // 1. Disk tier.
   std::string disk_path;
@@ -427,9 +446,8 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuildVariant(
     disk_path = (fs::path(opts_.cache_dir) / file_name).string();
     std::vector<std::uint8_t> envelope;
     if (ReadFileBytes(disk_path, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key_text, disk_path, /*closeable=*/true)) {
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.shape_disk_hits;
+      if (auto lm = TryLoadEnvelope(envelope, key_text, disk_path, closeable)) {
+        Count(c.disk_hits);
         return lm;
       }
     }
@@ -438,12 +456,10 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuildVariant(
   // 2. Shared store tier (write through to the disk tier on a hit).
   if (opts_.store) {
     std::vector<std::uint8_t> envelope;
-    if (opts_.store->LoadNativeBytesNamed(file_name, key_text, &envelope)) {
-      if (auto lm = TryLoadEnvelope(envelope, key_text, /*quarantine_path=*/"",
-                                    /*closeable=*/true)) {
+    if (opts_.store->LoadNativeBytes(file_name, key_text, &envelope)) {
+      if (auto lm = TryLoadEnvelope(envelope, key_text, /*quarantine_path=*/"", closeable)) {
         if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-        std::lock_guard<std::mutex> lk(mu_);
-        ++stats_.shape_store_hits;
+        Count(c.store_hits);
         return lm;
       }
     }
@@ -451,164 +467,21 @@ std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::LoadOrBuildVariant(
 
   // 3. Build.
   if (!may_build || mod == nullptr || !ToolchainAvailable()) return nullptr;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_builds_started;
-  }
-  const std::string source = EmitModuleSource(*mod, key_text, &shape);
+  Count(c.builds_started);
+  const std::string source = EmitModuleSource(*mod, key_text, shape);
   std::string error;
   const std::vector<std::uint8_t> so_bytes = CompileSharedObject(source, &error);
-  if (so_bytes.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_build_failures;
-    return nullptr;
-  }
-  auto lm = OpenSharedObject(so_bytes, key_text, /*origin=*/"", /*closeable=*/true);
+  auto lm = so_bytes.empty() ? nullptr
+                             : OpenSharedObject(so_bytes, key_text, /*origin=*/"", closeable);
   if (!lm) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_build_failures;
+    Count(c.build_failures);
     return nullptr;
   }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.shape_builds_completed;
-  }
+  Count(c.builds_completed);
   const std::vector<std::uint8_t> envelope = kcc::SerializeNative(so_bytes, key_text);
   if (!disk_path.empty()) WriteFileAtomic(disk_path, envelope);
-  if (opts_.store) opts_.store->PublishNativeBytesNamed(file_name, key_text, envelope);
+  if (opts_.store) opts_.store->PublishNativeBytes(file_name, key_text, envelope);
   return lm;
-}
-
-std::shared_ptr<NativeEngine::LoadedModule> NativeEngine::ResolveVariant(
-    const kcc::ModuleCacheKey& key, std::shared_ptr<const kcc::CompiledModule> mod,
-    const ShapeSpec& shape, vgpu::ShapeMode mode) {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    std::shared_ptr<Entry>& slot = entries_[key.CanonicalText()];
-    if (!slot) slot = std::make_shared<Entry>();
-    entry = slot;
-  }
-  const std::string shape_text = shape.CanonicalText();
-
-  bool want_promote = false;
-  std::unique_lock<std::mutex> lk(entry->mu);
-  VariantSlot& slot = entry->variants[shape_text];
-  ++slot.heat;
-  for (;;) {
-    switch (slot.state) {
-      case VariantSlot::kReady:
-        slot.last_used = ++lru_tick_;
-        return slot.loaded;
-      case VariantSlot::kFailed:
-        return nullptr;
-      case VariantSlot::kBuilding:
-        // Eager launches wait for the variant (mirroring how forced generic
-        // launches wait on a build); kAuto never blocks — the generic
-        // artifact serves this launch.
-        if (mode != vgpu::ShapeMode::kEager) return nullptr;
-        entry->cv.wait(lk);
-        continue;
-      case VariantSlot::kUnknown:
-      case VariantSlot::kMissing:
-        break;
-    }
-    break;
-  }
-
-  const bool may_build = mode == vgpu::ShapeMode::kEager && mod != nullptr;
-  if (slot.state == VariantSlot::kMissing && !may_build) {
-    // The load-only ladder already came up empty. Queue a background
-    // promotion once the pair is hot; this launch runs on the generic TU.
-    if (mode == vgpu::ShapeMode::kAuto && mod != nullptr && !slot.promote_queued &&
-        slot.heat >= opts_.shape_hot_threshold && ToolchainAvailable()) {
-      slot.promote_queued = true;
-      want_promote = true;
-    }
-    lk.unlock();
-    if (want_promote) {
-      PromoteJob job;
-      job.entry = entry;
-      job.key = key;
-      job.mod = std::move(mod);
-      job.shape = shape;
-      job.shape_text = shape_text;
-      std::lock_guard<std::mutex> lk2(mu_);
-      if (!promo_shutdown_) {
-        if (!promoter_.joinable()) promoter_ = std::thread(&NativeEngine::PromoterMain, this);
-        promo_queue_.push_back(std::move(job));
-        promo_cv_.notify_all();
-      }
-    }
-    return nullptr;
-  }
-
-  // First probe (both modes) or eager build: run the ladder inline.
-  slot.state = VariantSlot::kBuilding;
-  lk.unlock();
-
-  std::shared_ptr<LoadedModule> lm;
-  try {
-    lm = LoadOrBuildVariant(key, mod.get(), shape, may_build);
-  } catch (...) {
-    lm = nullptr;
-  }
-  FinishVariant(entry, shape_text, lm, /*built=*/may_build);
-  if (lm) {
-    std::lock_guard<std::mutex> lk2(entry->mu);
-    entry->variants[shape_text].last_used = ++lru_tick_;
-  }
-  return lm;
-}
-
-void NativeEngine::FinishVariant(const std::shared_ptr<Entry>& entry,
-                                 const std::string& shape_text,
-                                 std::shared_ptr<LoadedModule> lm, bool built) {
-  // Evicted handles are released outside the lock: the shared_ptr dlcloses
-  // the SO once the last in-flight launch using it drops its reference.
-  std::vector<std::shared_ptr<LoadedModule>> evicted;
-  {
-    std::lock_guard<std::mutex> lk(entry->mu);
-    VariantSlot& slot = entry->variants[shape_text];
-    if (lm) {
-      slot.loaded = std::move(lm);
-      slot.state = VariantSlot::kReady;
-      slot.promote_queued = false;
-
-      unsigned ready = 0;
-      for (const auto& [text, vs] : entry->variants) {
-        if (vs.state == VariantSlot::kReady) ++ready;
-      }
-      while (ready > opts_.max_shape_variants) {
-        auto victim = entry->variants.end();
-        for (auto it = entry->variants.begin(); it != entry->variants.end(); ++it) {
-          if (it->first == shape_text || it->second.state != VariantSlot::kReady) continue;
-          if (victim == entry->variants.end() ||
-              it->second.last_used < victim->second.last_used) {
-            victim = it;
-          }
-        }
-        if (victim == entry->variants.end()) break;  // only the new variant left
-        evicted.push_back(std::move(victim->second.loaded));
-        victim->second.loaded.reset();
-        // Back to kUnknown: the disk/store artifact survives eviction, so a
-        // future launch re-enters the load ladder instead of rebuilding.
-        victim->second.state = VariantSlot::kUnknown;
-        victim->second.heat = 0;
-        victim->second.promote_queued = false;
-        --ready;
-      }
-    } else {
-      slot.loaded.reset();
-      slot.state = built ? VariantSlot::kFailed : VariantSlot::kMissing;
-      slot.promote_queued = false;
-    }
-    entry->cv.notify_all();
-  }
-  if (!evicted.empty()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    stats_.shape_evicted += evicted.size();
-  }
 }
 
 void NativeEngine::PromoterMain() {
@@ -621,23 +494,24 @@ void NativeEngine::PromoterMain() {
     ++promo_inflight_;
     lk.unlock();
 
+    // Claim the slot unless a launch resolved it since the job was queued.
     bool run = false;
     {
       std::lock_guard<std::mutex> elk(job.entry->mu);
-      VariantSlot& slot = job.entry->variants[job.shape_text];
-      if (slot.state == VariantSlot::kUnknown || slot.state == VariantSlot::kMissing) {
-        slot.state = VariantSlot::kBuilding;
+      Slot& slot = job.entry->slots[job.shape_text];
+      if (slot.state == Slot::kUnknown || slot.state == Slot::kMissing) {
+        slot.state = Slot::kBuilding;
         run = true;
       }
     }
     if (run) {
       std::shared_ptr<LoadedModule> lm;
       try {
-        lm = LoadOrBuildVariant(job.key, job.mod.get(), job.shape, /*may_build=*/true);
+        lm = LoadOrBuild(job.key, &job.shape, job.mod.get(), /*may_build=*/true);
       } catch (...) {
         lm = nullptr;
       }
-      FinishVariant(job.entry, job.shape_text, std::move(lm), /*built=*/true);
+      Finish(job.entry, job.shape_text, std::move(lm), /*built=*/true, /*served=*/false);
     }
 
     lk.lock();
@@ -651,58 +525,44 @@ void NativeEngine::DrainShapeBuilds() {
   promo_cv_.wait(lk, [&] { return promo_queue_.empty() && promo_inflight_ == 0; });
 }
 
-bool NativeEngine::IsVariantReady(const kcc::ModuleCacheKey& key, const ShapeSpec& shape) const {
-  std::shared_ptr<Entry> entry;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = entries_.find(key.CanonicalText());
-    if (it == entries_.end()) return false;
-    entry = it->second;
-  }
-  std::lock_guard<std::mutex> lk(entry->mu);
-  auto it = entry->variants.find(shape.CanonicalText());
-  return it != entry->variants.end() && it->second.state == VariantSlot::kReady;
-}
-
 bool NativeEngine::TryLaunch(vcuda::Context& ctx, const vcuda::NativeLaunchRequest& req,
                              vgpu::LaunchStats* out) {
   if (req.served_shape != nullptr) *req.served_shape = false;
   if (req.key == nullptr || req.kernel == nullptr || req.cfg == nullptr || out == nullptr) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.fallbacks;
+    Count(&NativeEngineStats::fallbacks);
     return false;
   }
 
-  // The generic artifact resolves first and stays resident: it is the
-  // always-available fallback the variant ladder sits on, and the build/hit
+  // The generic slot resolves first and stays resident: it is the
+  // always-available fallback the shape slots sit on, and the build/hit
   // counters it feeds keep their exact meanings whether or not a variant
-  // ends up serving. Only once the generic tier can serve this key at all do
-  // we look for a shape-specialized variant on top. Variants assume the
-  // 32-lane warp layout their codegen bakes in, so any other warp size stays
-  // on the generic path.
+  // ends up serving. Only once the generic artifact can serve this key at
+  // all do we look for a shape-specialized variant on top. Variants assume
+  // the 32-lane warp layout their codegen bakes in, so any other warp size
+  // stays on the generic path.
+  const std::shared_ptr<Entry> entry = EntryFor(*req.key);
+  const kcc::CompiledModule* mod = req.module.get();
   std::shared_ptr<LoadedModule> lm =
-      Resolve(*req.key, req.module.get(), /*may_build=*/req.require);
+      Acquire(entry, *req.key, /*shape=*/nullptr, mod,
+              Policy{.may_build = req.require, .wait = req.require, .promote = nullptr});
   bool shape_served = false;
   if (lm != nullptr) {
     const vgpu::ShapeMode mode = vgpu::ResolveShapeMode(opts_.shape_mode);
     if (mode != vgpu::ShapeMode::kOff && ctx.device().warp_size == 32) {
-      std::shared_ptr<LoadedModule> variant =
-          ResolveVariant(*req.key, req.module, ShapeSpec::FromConfig(*req.cfg), mode);
-      if (variant != nullptr) {
+      const bool eager = mode == vgpu::ShapeMode::kEager;
+      const ShapeSpec shape = ShapeSpec::FromConfig(*req.cfg);
+      const Policy policy{.may_build = eager && mod != nullptr,
+                          .wait = eager,
+                          .promote = mode == vgpu::ShapeMode::kAuto ? req.module : nullptr};
+      if (std::shared_ptr<LoadedModule> variant = Acquire(entry, *req.key, &shape, mod, policy)) {
         lm = std::move(variant);
         shape_served = true;
       }
     }
   }
-  if (!lm) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.fallbacks;
-    return false;
-  }
-  auto it = lm->kernels.find(req.kernel->name);
-  if (it == lm->kernels.end()) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ++stats_.fallbacks;
+  std::map<std::string, unsigned>::const_iterator it;
+  if (!lm || (it = lm->kernels.find(req.kernel->name)) == lm->kernels.end()) {
+    Count(&NativeEngineStats::fallbacks);
     return false;
   }
   *out = RunNative(ctx, *lm, it->second, req);
@@ -725,18 +585,10 @@ vgpu::LaunchStats NativeEngine::RunNative(vcuda::Context& ctx, const LoadedModul
   const vgpu::LaunchConfig& cfg = *req.cfg;
   const vgpu::DeviceProfile& dev = ctx.device();
 
-  bool has_global_atomic = false;
-  for (const vgpu::Instr& i : k.code) {
-    if (IsGlobalAtomic(i)) {
-      has_global_atomic = true;
-      break;
-    }
-  }
-
   // The shared launch shell — the same validation, spill clamping, policy
   // resolution, and chunk plan the interpreter runs (vgpu/tier.hpp).
-  vgpu::LaunchShell shell =
-      vgpu::PrepareLaunch(dev, cfg, k.stats.reg_count, k.static_smem_bytes, has_global_atomic);
+  vgpu::LaunchShell shell = vgpu::PrepareLaunch(dev, cfg, k.stats.reg_count, k.static_smem_bytes,
+                                                vgpu::HasGlobalAtomic(k));
   KSPEC_CHECK_MSG(cfg.args.size() == k.params.size(), "argument count mismatch");
 
   const unsigned nthreads = static_cast<unsigned>(cfg.block.Count());

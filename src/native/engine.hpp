@@ -1,37 +1,45 @@
 // The native execution tier: content-addressed shared-object artifacts plus
 // the host-side launch mirror that runs them.
 //
-// NativeEngine implements vcuda::NativeExecutionService. Per ModuleCacheKey
-// it maintains a small state machine (unknown -> building -> ready | failed)
-// over a three-level artifact hierarchy:
+// NativeEngine implements vcuda::NativeExecutionService. An artifact is one
+// module's emitted TU, either shape-generic or specialized on one launch
+// shape (block and grid dimensions compiled in: codegen + maskprop). Each
+// module key owns a small map of slots, one per artifact, keyed by the
+// shape's canonical text; the generic artifact is the slot with the empty
+// text. Every slot runs the same state machine
+//
+//   unknown -> building -> ready | missing (load-only probe) | failed
+//
+// over the same artifact ladder:
 //
 //   memory  — a dlopen'd shared object, reused for every later launch;
-//   disk    — `k%016llx.nso` files in cache_dir (the .kmod layout's sibling):
-//             a second process with a warm cache directory serves the native
-//             tier with zero recompiles;
-//   store   — the shared netd::ArtifactStore, when attached.
+//   disk    — `k%016llx.nso` (generic) or `k%016llx_s%016llx.nso` (shape)
+//             files in cache_dir, the .kmod layout's sibling: a second
+//             process with a warm cache directory serves the native tier
+//             with zero rebuilds;
+//   store   — the shared netd::ArtifactStore, when attached (write-through
+//             to disk on a hit);
+//   build   — emit + host C++ compile + dlopen, published to disk and store.
 //
 // Every artifact is the self-validating kcc::SerializeNative envelope; a
 // corrupt file is quarantined (renamed aside) and treated as a miss, a loaded
 // SO whose kspec_native_abi_version or embedded build key disagrees is
-// discarded as stale — in every case the launch degrades to the decoded tier
-// instead of failing.
+// discarded as stale — in every case the launch degrades instead of failing.
+// The two kinds differ only in key text, file name, whether the SO may be
+// dlclosed, and which NativeEngineStats counters they bump.
 //
-// Build policy follows NativeLaunchRequest::require: a forced native launch
-// builds inline (single-flight per key; concurrent launches wait); a kAuto
-// launch only serves what is already loadable and leaves background builds to
-// NativeBuildExecutor riding the serve pipeline.
-//
-// On top of the generic artifact each module keeps a bounded ladder of
-// shape-specialized variants, content-addressed by (module key, launch
-// shape): divergence-aware TUs whose launch dimensions are compile-time
-// constants (codegen + maskprop). The generic artifact always stays resident
-// as the fallback, so a kAuto launch never blocks: under ShapeMode::kAuto a
-// (module, shape) pair that crosses Options::shape_hot_threshold launches is
-// promoted by a background builder thread; under kEager the variant builds
-// inline. Variants beyond Options::max_shape_variants are LRU-evicted — and
-// since shape TUs hold no thread_local state, an evicted variant's shared
-// object really is dlclosed once its last in-flight launch completes.
+// What one launch may do with a slot is its policy. The generic slot builds
+// and waits under a forced native launch (NativeLaunchRequest::require) and
+// only serves what is loadable under kAuto, leaving background builds to
+// NativeBuildExecutor riding the serve pipeline. Once the generic artifact
+// serves, a shape slot is acquired on top of it: under ShapeMode::kEager it
+// builds and waits; under kAuto it never blocks, and a (module, shape) pair
+// that crosses Options::shape_hot_threshold launches is handed to a
+// background promoter thread. The generic artifact always stays resident as
+// the fallback. Shape slots beyond Options::max_shape_variants are
+// LRU-evicted — and since shape TUs hold no thread_local state, an evicted
+// variant's shared object really is dlclosed once its last in-flight launch
+// completes.
 //
 // The launch itself mirrors the interpreter's shell exactly: the shared
 // vgpu::PrepareLaunch / FinalizeLaunchStats bracket per-chunk runs, per-worker
@@ -74,8 +82,8 @@ struct NativeEngineStats {
   std::uint64_t corrupt_quarantined = 0;
   std::uint64_t stale_discarded = 0;   // ABI-version or key mismatch
 
-  // Shape-specialized variants, counted separately from the generic ladder so
-  // the generic counters keep their exact PR-9 meanings.
+  // Shape-specialized variants, counted separately so the generic counters
+  // keep their meanings whether or not a variant serves.
   std::uint64_t shape_builds_started = 0;
   std::uint64_t shape_builds_completed = 0;
   std::uint64_t shape_build_failures = 0;
@@ -149,17 +157,29 @@ class NativeEngine : public vcuda::NativeExecutionService {
 
  private:
   struct LoadedModule;
+  struct Slot;
   struct Entry;
-  struct VariantSlot;
+  struct Policy;
   struct PromoteJob;
 
-  // Returns the ready entry for the request, loading or (require) building as
-  // allowed. nullptr = degrade.
-  std::shared_ptr<LoadedModule> Resolve(const kcc::ModuleCacheKey& key,
-                                        const kcc::CompiledModule* mod, bool may_build);
-  // The artifact ladder for one key, called with the entry locked in
-  // kBuilding state. Returns the loaded SO or nullptr.
+  std::shared_ptr<Entry> EntryFor(const kcc::ModuleCacheKey& key);
+  // True when the slot `slot_text` of `key` is resident ("" = generic).
+  bool SlotReady(const kcc::ModuleCacheKey& key, const std::string& slot_text) const;
+  // The one acquire path: serves the slot for (key, shape) if ready, else
+  // runs the ladder or queues a promotion as `policy` allows. shape ==
+  // nullptr is the generic artifact. nullptr = degrade.
+  std::shared_ptr<LoadedModule> Acquire(const std::shared_ptr<Entry>& entry,
+                                        const kcc::ModuleCacheKey& key, const ShapeSpec* shape,
+                                        const kcc::CompiledModule* mod, const Policy& policy);
+  // Publishes a ladder result into its slot under entry->mu; `served` marks
+  // it most-recently used. Beyond the per-module cap the least-recently-used
+  // other shape slot is evicted.
+  void Finish(const std::shared_ptr<Entry>& entry, const std::string& slot_text,
+              std::shared_ptr<LoadedModule> lm, bool built, bool served);
+  // The artifact ladder for (key, shape), called with the slot in kBuilding
+  // state: disk -> store -> (may_build) build. Returns the loaded SO or nullptr.
   std::shared_ptr<LoadedModule> LoadOrBuild(const kcc::ModuleCacheKey& key,
+                                            const ShapeSpec* shape,
                                             const kcc::CompiledModule* mod, bool may_build);
   std::shared_ptr<LoadedModule> TryLoadEnvelope(const std::vector<std::uint8_t>& envelope,
                                                 const std::string& key_text,
@@ -167,21 +187,7 @@ class NativeEngine : public vcuda::NativeExecutionService {
   std::shared_ptr<LoadedModule> OpenSharedObject(const std::vector<std::uint8_t>& so_bytes,
                                                  const std::string& key_text,
                                                  const std::string& origin, bool closeable);
-
-  // Shape-variant ladder. ResolveVariant implements the per-mode policy
-  // (serve resident, probe disk/store, build inline for kEager, enqueue a
-  // background promotion for hot kAuto pairs); LoadOrBuildVariant is the
-  // memory -> disk -> store -> build ladder for one (key, shape).
-  std::shared_ptr<LoadedModule> ResolveVariant(const kcc::ModuleCacheKey& key,
-                                               std::shared_ptr<const kcc::CompiledModule> mod,
-                                               const ShapeSpec& shape, vgpu::ShapeMode mode);
-  std::shared_ptr<LoadedModule> LoadOrBuildVariant(const kcc::ModuleCacheKey& key,
-                                                   const kcc::CompiledModule* mod,
-                                                   const ShapeSpec& shape, bool may_build);
-  // Finishes a variant build slot under entry->mu and LRU-evicts beyond the
-  // per-module cap.
-  void FinishVariant(const std::shared_ptr<Entry>& entry, const std::string& shape_text,
-                     std::shared_ptr<LoadedModule> lm, bool built);
+  void Count(std::uint64_t NativeEngineStats::*field, std::uint64_t n = 1);
   void PromoterMain();
 
   vgpu::LaunchStats RunNative(vcuda::Context& ctx, const LoadedModule& lm, unsigned kernel_index,
@@ -193,7 +199,7 @@ class NativeEngine : public vcuda::NativeExecutionService {
   std::map<std::string, std::shared_ptr<Entry>> entries_;  // by canonical key text
   NativeEngineStats stats_;
   std::uint64_t scratch_seq_ = 0;
-  std::atomic<std::uint64_t> lru_tick_{0};  // advanced per shape-variant serve
+  std::atomic<std::uint64_t> lru_tick_{0};  // advanced per slot serve (LRU order)
 
   // Background promotion of hot (module, shape) pairs (kAuto).
   std::thread promoter_;

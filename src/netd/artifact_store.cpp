@@ -20,6 +20,25 @@ ArtifactStore::ArtifactStore(std::string dir) : dir_(std::move(dir)) {
   if (ec) throw Error("artifact store: cannot create '" + dir_ + "': " + ec.message());
 }
 
+// One artifact kind: its envelope parser (throws SerializeError) and the
+// StoreStats counters it feeds.
+struct ArtifactStore::Kind {
+  const char* noun;
+  void (*parse)(std::span<const std::uint8_t> bytes, std::string* key_text);
+  std::uint64_t StoreStats::*hits;
+  std::uint64_t StoreStats::*misses;
+  std::uint64_t StoreStats::*publishes;
+};
+
+const ArtifactStore::Kind ArtifactStore::kModuleKind{
+    "artifact",
+    [](std::span<const std::uint8_t> b, std::string* k) { kcc::Deserialize(b, k); },
+    &StoreStats::hits, &StoreStats::misses, &StoreStats::publishes};
+const ArtifactStore::Kind ArtifactStore::kNativeKind{
+    "native artifact",
+    [](std::span<const std::uint8_t> b, std::string* k) { kcc::DeserializeNative(b, k); },
+    &StoreStats::native_hits, &StoreStats::native_misses, &StoreStats::native_publishes};
+
 std::string ArtifactStore::PathFor(const kcc::ModuleCacheKey& key) const {
   return dir_ + "/" + key.FileName();
 }
@@ -33,42 +52,75 @@ void ArtifactStore::Quarantine(const std::string& path) {
   ++stats_.corrupt_quarantined;
 }
 
-bool ArtifactStore::LoadBytes(const kcc::ModuleCacheKey& key, std::vector<std::uint8_t>* out) {
-  const std::string path = PathFor(key);
+bool ArtifactStore::LoadAt(const Kind& kind, const std::string& path,
+                           const std::string& key_text, std::vector<std::uint8_t>* out) {
   std::vector<std::uint8_t> bytes;
   if (!ReadFileBytes(path, &bytes)) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
+    ++(stats_.*kind.misses);
     return false;
   }
   try {
     std::string stored_key;
-    kcc::Deserialize(bytes, &stored_key);  // full parse: checksum, version, layout
-    if (stored_key != key.CanonicalText()) {
+    kind.parse(bytes, &stored_key);  // full parse: checksum, version, layout
+    if (stored_key != key_text) {
       // A valid artifact for a different key under this hash-derived name.
       // Not corruption — don't quarantine; the caller's eventual publish of
       // this key overwrites it.
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.collisions;
-      ++stats_.misses;
+      ++(stats_.*kind.misses);
       KSPEC_LOG_WARN << "artifact store: " << path
                      << " belongs to a different key (hash collision) — treating as miss";
       return false;
     }
   } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: quarantining unreadable artifact " << path << " ("
-                   << e.what() << ")";
+    KSPEC_LOG_WARN << "artifact store: quarantining unreadable " << kind.noun << " " << path
+                   << " (" << e.what() << ")";
     Quarantine(path);
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
+    ++(stats_.*kind.misses);
     return false;
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
+    ++(stats_.*kind.hits);
   }
   *out = std::move(bytes);
   return true;
+}
+
+bool ArtifactStore::PublishAt(const Kind& kind, const std::string& path,
+                              const std::string& key_text, std::span<const std::uint8_t> bytes) {
+  try {
+    std::string stored_key;
+    kind.parse(bytes, &stored_key);
+    if (stored_key != key_text) {
+      KSPEC_LOG_WARN << "artifact store: refusing to publish " << kind.noun
+                     << " keyed differently than " << path;
+      return false;
+    }
+  } catch (const SerializeError& e) {
+    KSPEC_LOG_WARN << "artifact store: refusing to publish malformed " << kind.noun << " for "
+                   << path << " (" << e.what() << ")";
+    return false;
+  }
+  return WriteAt(kind, path, bytes);
+}
+
+bool ArtifactStore::WriteAt(const Kind& kind, const std::string& path,
+                            std::span<const std::uint8_t> bytes) {
+  if (!WriteFileAtomic(path, bytes)) {
+    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
+    return false;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(stats_.*kind.publishes);
+  return true;
+}
+
+bool ArtifactStore::LoadBytes(const kcc::ModuleCacheKey& key, std::vector<std::uint8_t>* out) {
+  return LoadAt(kModuleKind, PathFor(key), key.CanonicalText(), out);
 }
 
 std::shared_ptr<const kcc::CompiledModule> ArtifactStore::Load(const kcc::ModuleCacheKey& key) {
@@ -80,40 +132,12 @@ std::shared_ptr<const kcc::CompiledModule> ArtifactStore::Load(const kcc::Module
 }
 
 bool ArtifactStore::Publish(const kcc::ModuleCacheKey& key, const kcc::CompiledModule& mod) {
-  const std::vector<std::uint8_t> bytes = kcc::Serialize(mod, key.CanonicalText());
-  const std::string path = PathFor(key);
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.publishes;
-  return true;
+  return WriteAt(kModuleKind, PathFor(key), kcc::Serialize(mod, key.CanonicalText()));
 }
 
 bool ArtifactStore::PublishBytes(const kcc::ModuleCacheKey& key,
                                  std::span<const std::uint8_t> bytes) {
-  try {
-    std::string stored_key;
-    kcc::Deserialize(bytes, &stored_key);
-    if (stored_key != key.CanonicalText()) {
-      KSPEC_LOG_WARN << "artifact store: refusing to publish bytes keyed differently than "
-                     << key.FileName();
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: refusing to publish malformed artifact for "
-                   << key.FileName() << " (" << e.what() << ")";
-    return false;
-  }
-  const std::string path = PathFor(key);
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.publishes;
-  return true;
+  return PublishAt(kModuleKind, PathFor(key), key.CanonicalText(), bytes);
 }
 
 bool ArtifactStore::Contains(const kcc::ModuleCacheKey& key) const {
@@ -121,98 +145,17 @@ bool ArtifactStore::Contains(const kcc::ModuleCacheKey& key) const {
   return std::filesystem::exists(PathFor(key), ec);
 }
 
-std::string ArtifactStore::PathForNative(const kcc::ModuleCacheKey& key) const {
-  return dir_ + "/" + Format("k%016llx.nso", static_cast<unsigned long long>(key.Hash()));
-}
-
-bool ArtifactStore::LoadNativeBytes(const kcc::ModuleCacheKey& key,
+bool ArtifactStore::LoadNativeBytes(const std::string& file_name, const std::string& key_text,
                                     std::vector<std::uint8_t>* out) {
-  return LoadNativeAt(PathForNative(key), key.CanonicalText(), out);
+  return LoadAt(kNativeKind, dir_ + "/" + file_name, key_text, out);
 }
 
-bool ArtifactStore::LoadNativeBytesNamed(const std::string& file_name,
-                                         const std::string& key_text,
-                                         std::vector<std::uint8_t>* out) {
-  return LoadNativeAt(dir_ + "/" + file_name, key_text, out);
-}
-
-bool ArtifactStore::LoadNativeAt(const std::string& path, const std::string& key_text,
-                                 std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> bytes;
-  if (!ReadFileBytes(path, &bytes)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.native_misses;
-    return false;
-  }
-  try {
-    std::string stored_key;
-    kcc::DeserializeNative(bytes, &stored_key);  // checksum, version, layout
-    if (stored_key != key_text) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.collisions;
-      ++stats_.native_misses;
-      KSPEC_LOG_WARN << "artifact store: " << path
-                     << " belongs to a different key (hash collision) — treating as miss";
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: quarantining unreadable native artifact " << path
-                   << " (" << e.what() << ")";
-    Quarantine(path);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.native_misses;
-    return false;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.native_hits;
-  }
-  *out = std::move(bytes);
-  return true;
-}
-
-bool ArtifactStore::PublishNativeBytes(const kcc::ModuleCacheKey& key,
+bool ArtifactStore::PublishNativeBytes(const std::string& file_name, const std::string& key_text,
                                        std::span<const std::uint8_t> bytes) {
-  return PublishNativeAt(PathForNative(key), key.CanonicalText(), bytes);
+  return PublishAt(kNativeKind, dir_ + "/" + file_name, key_text, bytes);
 }
 
-bool ArtifactStore::PublishNativeBytesNamed(const std::string& file_name,
-                                            const std::string& key_text,
-                                            std::span<const std::uint8_t> bytes) {
-  return PublishNativeAt(dir_ + "/" + file_name, key_text, bytes);
-}
-
-bool ArtifactStore::PublishNativeAt(const std::string& path, const std::string& key_text,
-                                    std::span<const std::uint8_t> bytes) {
-  try {
-    std::string stored_key;
-    kcc::DeserializeNative(bytes, &stored_key);
-    if (stored_key != key_text) {
-      KSPEC_LOG_WARN << "artifact store: refusing to publish native bytes keyed differently "
-                        "than "
-                     << path;
-      return false;
-    }
-  } catch (const SerializeError& e) {
-    KSPEC_LOG_WARN << "artifact store: refusing to publish malformed native artifact ("
-                   << e.what() << ")";
-    return false;
-  }
-  if (!WriteFileAtomic(path, bytes)) {
-    KSPEC_LOG_WARN << "artifact store: failed to publish " << path << " — continuing";
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.native_publishes;
-  return true;
-}
-
-bool ArtifactStore::ContainsNative(const kcc::ModuleCacheKey& key) const {
-  std::error_code ec;
-  return std::filesystem::exists(PathForNative(key), ec);
-}
-
-bool ArtifactStore::ContainsNativeNamed(const std::string& file_name) const {
+bool ArtifactStore::ContainsNative(const std::string& file_name) const {
   std::error_code ec;
   return std::filesystem::exists(dir_ + "/" + file_name, ec);
 }

@@ -68,32 +68,32 @@ class ArtifactStore {
   bool Contains(const kcc::ModuleCacheKey& key) const;
 
   // ---- native-tier artifacts (.nso) ----
-  // Same directory, same hash-derived stem, `.nso` extension: the envelope is
-  // kcc::SerializeNative (a host shared object instead of a module), with the
-  // identical corrupt-quarantine / collision policy as the .kmod methods.
-  std::string PathForNative(const kcc::ModuleCacheKey& key) const;
-  bool LoadNativeBytes(const kcc::ModuleCacheKey& key, std::vector<std::uint8_t>* out);
-  bool PublishNativeBytes(const kcc::ModuleCacheKey& key, std::span<const std::uint8_t> bytes);
-  bool ContainsNative(const kcc::ModuleCacheKey& key) const;
-
-  // ---- named native artifacts (shape-specialized variants) ----
-  // Same envelope, validation, and quarantine policy, but the caller names
-  // the file (e.g. "k<hash>_s<hash>.nso") and supplies the expected embedded
-  // key text (module canonical text + "\n" + shape canonical text), because
-  // the artifact identity is wider than one ModuleCacheKey.
-  bool LoadNativeBytesNamed(const std::string& file_name, const std::string& key_text,
-                            std::vector<std::uint8_t>* out);
-  bool PublishNativeBytesNamed(const std::string& file_name, const std::string& key_text,
-                               std::span<const std::uint8_t> bytes);
-  bool ContainsNativeNamed(const std::string& file_name) const;
+  // Same directory, same validation and quarantine policy, but the envelope
+  // is kcc::SerializeNative (a host shared object instead of a module) and
+  // the caller names the file and the expected embedded key text, because a
+  // native artifact's identity can be wider than one ModuleCacheKey: the
+  // generic "k<hash>.nso" embeds the module's canonical text, a shape variant
+  // "k<hash>_s<hash>.nso" appends "\n" + the shape's canonical text.
+  bool LoadNativeBytes(const std::string& file_name, const std::string& key_text,
+                       std::vector<std::uint8_t>* out);
+  bool PublishNativeBytes(const std::string& file_name, const std::string& key_text,
+                          std::span<const std::uint8_t> bytes);
+  bool ContainsNative(const std::string& file_name) const;
 
   StoreStats stats() const;
 
  private:
-  bool LoadNativeAt(const std::string& path, const std::string& key_text,
-                    std::vector<std::uint8_t>* out);
-  bool PublishNativeAt(const std::string& path, const std::string& key_text,
-                       std::span<const std::uint8_t> bytes);
+  struct Kind;
+  static const Kind kModuleKind;  // .kmod: kcc::Serialize, hits/misses/publishes
+  static const Kind kNativeKind;  // .nso: kcc::SerializeNative, native_* counters
+  // The one load / publish body for every artifact kind: read, parse with
+  // the kind's envelope parser, check the embedded key, quarantine corrupt
+  // entries, and bump the kind's counters.
+  bool LoadAt(const Kind& kind, const std::string& path, const std::string& key_text,
+              std::vector<std::uint8_t>* out);
+  bool PublishAt(const Kind& kind, const std::string& path, const std::string& key_text,
+                 std::span<const std::uint8_t> bytes);
+  bool WriteAt(const Kind& kind, const std::string& path, std::span<const std::uint8_t> bytes);
   // Renames a bad entry aside so it is never read again and the next publish
   // lands cleanly. Best-effort; falls back to unlink.
   void Quarantine(const std::string& path);

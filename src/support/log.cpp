@@ -28,13 +28,15 @@ Logger::Logger() {
 }
 
 LogSink Logger::set_sink(LogSink sink) {
+  std::lock_guard<std::mutex> lock(sink_mu_);
   LogSink old = std::move(sink_);
   sink_ = std::move(sink);
   return old;
 }
 
 void Logger::Write(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(level_)) return;
+  if (static_cast<int>(level) < static_cast<int>(this->level())) return;
+  std::lock_guard<std::mutex> lock(sink_mu_);
   if (sink_) sink_(level, msg);
 }
 

@@ -5,7 +5,9 @@
 // a capturing sink.
 #pragma once
 
+#include <atomic>
 #include <functional>
+#include <mutex>
 #include <sstream>
 #include <string>
 
@@ -17,14 +19,16 @@ const char* LogLevelName(LogLevel level);
 
 using LogSink = std::function<void(LogLevel, const std::string&)>;
 
-// Global log configuration. Not thread-safe to reconfigure concurrently with
-// logging; configure once at startup (or per test).
+// Global log configuration, safe to change while other threads log. The
+// level is a relaxed atomic (a racing message may use the old or the new
+// level); the sink runs under a mutex, so lines never interleave and a sink
+// replaced by set_sink is never called after set_sink returns.
 class Logger {
  public:
   static Logger& Instance();
 
-  void set_level(LogLevel level) { level_ = level; }
-  LogLevel level() const { return level_; }
+  void set_level(LogLevel level) { level_.store(level, std::memory_order_relaxed); }
+  LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
   // Replaces the sink; returns the previous one so tests can restore it.
   LogSink set_sink(LogSink sink);
@@ -33,7 +37,8 @@ class Logger {
 
  private:
   Logger();
-  LogLevel level_ = LogLevel::kWarn;
+  std::atomic<LogLevel> level_{LogLevel::kWarn};
+  std::mutex sink_mu_;  // guards sink_ and serializes its calls
   LogSink sink_;
 };
 

@@ -1400,6 +1400,23 @@ ExecFn SelectMem(const Instr& i) {
 
 }  // namespace interp_detail
 
+bool HasGlobalAtomic(const CompiledKernel& kernel) {
+  for (const Instr& i : kernel.code) {
+    switch (i.op) {
+      case Opcode::kAtomAdd:
+      case Opcode::kAtomMin:
+      case Opcode::kAtomMax:
+      case Opcode::kAtomExch:
+      case Opcode::kAtomCas:
+        if (i.space == Space::kGlobal) return true;
+        break;
+      default:
+        break;
+    }
+  }
+  return false;
+}
+
 std::shared_ptr<const DecodedKernel> DecodeKernel(const CompiledKernel& kernel,
                                                   const DeviceProfile& dev) {
   auto dk = std::make_shared<DecodedKernel>();
@@ -1409,6 +1426,7 @@ std::shared_ptr<const DecodedKernel> DecodeKernel(const CompiledKernel& kernel,
   dk->num_vregs = kernel.num_vregs;
   dk->static_smem_bytes = kernel.static_smem_bytes;
   dk->reg_count = kernel.stats.reg_count;
+  dk->has_global_atomic = HasGlobalAtomic(kernel);
   const bool has_ilp = kernel.ilp_at_pc.size() == kernel.code.size();
   dk->dec.resize(kernel.code.size());
   for (std::size_t pc = 0; pc < kernel.code.size(); ++pc) {
@@ -1433,7 +1451,6 @@ std::shared_ptr<const DecodedKernel> DecodeKernel(const CompiledKernel& kernel,
       case Opcode::kAtomExch:
       case Opcode::kAtomCas:
         d.kind = DKind::kAtomic;
-        if (i.space == Space::kGlobal) dk->has_global_atomic = true;
         break;
       case Opcode::kTex2D:
       case Opcode::kTex1D: d.kind = DKind::kTex; break;

@@ -50,4 +50,8 @@ struct CompiledKernel {
   std::string listing;
 };
 
+// True when the kernel has an atomic on global memory. Such launches keep
+// kAuto block execution serial (vgpu::PrepareLaunch) on every tier.
+bool HasGlobalAtomic(const CompiledKernel& kernel);
+
 }  // namespace kspec::vgpu

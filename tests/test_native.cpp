@@ -2,7 +2,8 @@
 // (serial and parallel), warm-cache cross-engine reuse with zero recompiles,
 // corrupt/stale/version-bump artifact degradation, store round-trips,
 // background promotion through NativeBuildExecutor, tier-selection precedence,
-// cross-tier identity over all four applications, and the shape-specialized
+// cross-tier identity over all four applications, concurrent launches racing
+// the engine's slots (one build per slot), and the shape-specialized
 // variant ladder: eager/auto variant serving, variant-vs-generic cache-key
 // separation, per-variant corruption quarantine, and the per-module variant
 // cap with LRU eviction.
@@ -10,10 +11,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "apps/backproj/gpu.hpp"
 #include "apps/backproj/problem.hpp"
@@ -502,7 +507,7 @@ TEST(NativeTier, ArtifactStoreRoundTripWithWriteThrough) {
     key = kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), ctx.device().name);
     ASSERT_TRUE(engine.EnsureReady(key, mod->compiled()));
     EXPECT_EQ(store.stats().native_publishes, 1u);
-    EXPECT_TRUE(store.ContainsNative(key));
+    EXPECT_TRUE(store.ContainsNative(native::NativeEngine::ArtifactFileName(key)));
   }
   // Engine 2 has a cold private disk cache but shares the store: the artifact
   // comes from the store and is written through to the local disk tier.
@@ -521,6 +526,66 @@ TEST(NativeTier, ArtifactStoreRoundTripWithWriteThrough) {
   EXPECT_EQ(es.builds_started, 0u);
   EXPECT_EQ(store.stats().native_hits, 1u);
   EXPECT_TRUE(fs::exists(disk2.dir / native::NativeEngine::ArtifactFileName(key)));
+}
+
+// Sixteen threads, each on its own context, race one engine. Eight make
+// forced-native launches of one key: they contend for the generic slot's
+// single-flight build and then, under kEager, for the shape slot. Eight make
+// eager kAuto launches of the same (key, shape) as soon as the generic
+// artifact is ready, so they contend for the shape slot only. Every slot
+// builds exactly once and every thread sees the decoded tier's LaunchStats.
+TEST(NativeTier, ConcurrentForcedAndEagerLaunchesBuildOnce) {
+  SKIP_WITHOUT_TOOLCHAIN();
+  constexpr int kPerGroup = 8;
+  native::NativeEngine engine;
+  const kcc::ModuleCacheKey key =
+      kcc::ModuleCacheKey::Make(kKernel, OptsFor(3), vgpu::TeslaC1060().name);
+  LaunchOutcome ref = [] {
+    vcuda::Context ctx(vgpu::TeslaC1060());
+    auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+    return RunReduce(ctx, *mod, ExecutionTier::kDecoded);
+  }();
+
+  ShapeGuard g(vgpu::ShapeMode::kEager);
+  std::vector<LaunchOutcome> outcomes(2 * kPerGroup);
+  std::latch start(2 * kPerGroup);
+  std::atomic<int> forced_done{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2 * kPerGroup; ++t) {
+    threads.emplace_back([&, t] {
+      const bool forced = t < kPerGroup;
+      vcuda::Context ctx(vgpu::TeslaC1060());
+      ctx.set_native_service(&engine);
+      auto mod = ctx.LoadModule(kKernel, OptsFor(3));
+      start.arrive_and_wait();
+      if (forced) {
+        outcomes[t] = RunReduce(ctx, *mod, ExecutionTier::kNative);
+        ++forced_done;
+        return;
+      }
+      // A failed generic build never turns ready; stop waiting once every
+      // forced launch has returned so the assertions below report it.
+      while (!engine.IsReady(key) && forced_done.load() < kPerGroup) std::this_thread::yield();
+      outcomes[t] = RunReduce(ctx, *mod, ExecutionTier::kAuto);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  for (int t = 0; t < 2 * kPerGroup; ++t) {
+    SCOPED_TRACE(t);
+    EXPECT_EQ(outcomes[t].exec.served, ExecutionTier::kNative);
+    EXPECT_TRUE(outcomes[t].exec.native_shape);
+    EXPECT_TRUE(vgpu::StatsBitIdentical(ref.stats, outcomes[t].stats));
+    EXPECT_EQ(ref.out, outcomes[t].out);
+  }
+  const native::NativeEngineStats es = engine.stats();
+  EXPECT_EQ(es.builds_started, 1u);
+  EXPECT_EQ(es.builds_completed, 1u);
+  EXPECT_EQ(es.shape_builds_started, 1u);
+  EXPECT_EQ(es.shape_builds_completed, 1u);
+  EXPECT_EQ(es.served_launches, static_cast<std::uint64_t>(2 * kPerGroup));
+  EXPECT_EQ(es.shape_served_launches, static_cast<std::uint64_t>(2 * kPerGroup));
+  EXPECT_EQ(es.fallbacks, 0u);
 }
 
 TEST(NativeTier, BuildExecutorPromotesInBackground) {

@@ -366,6 +366,86 @@ TEST(NetdArtifactStore, PublishBytesRejectsAnArtifactForADifferentKey) {
   EXPECT_NE(store.Load(real), nullptr);
 }
 
+// Native-tier (.nso) entries go through the same validation body as .kmod
+// entries, under the native_* counters. The store checks only the envelope,
+// so a few arbitrary bytes stand in for the shared object.
+struct NativeEntry {
+  explicit NativeEntry(int n)
+      : key(KeyFor(OptsFor(n))),
+        file_name("k" + std::to_string(key.Hash()) + ".nso"),
+        bytes(kcc::SerializeNative(std::vector<std::uint8_t>{0x7f, 'E', 'L', 'F', 1, 2, 3},
+                                   key.CanonicalText())) {}
+  kcc::ModuleCacheKey key;
+  std::string file_name;
+  std::vector<std::uint8_t> bytes;
+};
+
+TEST(NetdArtifactStore, NativeCorruptEntryIsQuarantinedAndCountedAsMiss) {
+  ScratchDir scratch;
+  ArtifactStore store(scratch.File("store"));
+  const NativeEntry e(20);
+  ASSERT_TRUE(store.PublishNativeBytes(e.file_name, e.key.CanonicalText(), e.bytes));
+
+  const std::string path = store.dir() + "/" + e.file_name;
+  std::vector<std::uint8_t> bytes = ReadAll(path);
+  bytes.back() ^= 0x5A;  // flip payload bits; header still parses
+  WriteAll(path, bytes);
+
+  std::vector<std::uint8_t> out;
+  EXPECT_FALSE(store.LoadNativeBytes(e.file_name, e.key.CanonicalText(), &out));
+  netd::StoreStats s = store.stats();
+  EXPECT_EQ(s.corrupt_quarantined, 1u);
+  EXPECT_EQ(s.native_misses, 1u);
+  EXPECT_EQ(s.native_hits, 0u);
+  EXPECT_EQ(s.misses, 0u) << "native traffic is counted apart from module traffic";
+  EXPECT_FALSE(store.ContainsNative(e.file_name)) << "a quarantined entry must not be re-read";
+  EXPECT_EQ(CountEntriesMatching(store.dir(), ".bad."), 1u);
+
+  // The next publish lands cleanly on the vacated name.
+  ASSERT_TRUE(store.PublishNativeBytes(e.file_name, e.key.CanonicalText(), e.bytes));
+  EXPECT_TRUE(store.LoadNativeBytes(e.file_name, e.key.CanonicalText(), &out));
+  EXPECT_EQ(out, e.bytes);
+  EXPECT_EQ(store.stats().native_hits, 1u);
+}
+
+TEST(NetdArtifactStore, NativeWrongKeyEntryIsACollisionLeftInPlace) {
+  ScratchDir scratch;
+  ArtifactStore store(scratch.File("store"));
+  const NativeEntry owner(21);
+  const NativeEntry other(22);
+  ASSERT_TRUE(store.PublishNativeBytes(owner.file_name, owner.key.CanonicalText(), owner.bytes));
+
+  // A valid artifact for `owner` under `other`'s name: a miss for `other`,
+  // but not corruption, so it stays where it is.
+  fs::copy_file(store.dir() + "/" + owner.file_name, store.dir() + "/" + other.file_name);
+  std::vector<std::uint8_t> out;
+  EXPECT_FALSE(store.LoadNativeBytes(other.file_name, other.key.CanonicalText(), &out));
+  netd::StoreStats s = store.stats();
+  EXPECT_EQ(s.collisions, 1u);
+  EXPECT_EQ(s.native_misses, 1u);
+  EXPECT_EQ(s.corrupt_quarantined, 0u);
+  EXPECT_TRUE(store.ContainsNative(other.file_name)) << "colliding entries are not destroyed";
+  EXPECT_EQ(CountEntriesMatching(store.dir(), ".bad."), 0u);
+}
+
+TEST(NetdArtifactStore, PublishNativeBytesRejectsAnArtifactForADifferentKey) {
+  ScratchDir scratch;
+  ArtifactStore store(scratch.File("store"));
+  const NativeEntry real(23);
+  const NativeEntry victim(24);
+
+  EXPECT_FALSE(store.PublishNativeBytes(victim.file_name, victim.key.CanonicalText(), real.bytes))
+      << "an artifact for one key must not be publishable under another";
+  EXPECT_FALSE(store.ContainsNative(victim.file_name));
+  const std::vector<std::uint8_t> garbage = {1, 2, 3, 4};
+  EXPECT_FALSE(store.PublishNativeBytes(real.file_name, real.key.CanonicalText(), garbage));
+  EXPECT_FALSE(store.ContainsNative(real.file_name));
+  EXPECT_EQ(store.stats().native_publishes, 0u);
+
+  EXPECT_TRUE(store.PublishNativeBytes(real.file_name, real.key.CanonicalText(), real.bytes));
+  EXPECT_EQ(store.stats().native_publishes, 1u);
+}
+
 TEST(NetdArtifactStore, ConcurrentPublishersOneFileAndReadersNeverSeePartialData) {
   constexpr int kPublishers = 6;
   constexpr int kReaders = 4;

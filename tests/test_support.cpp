@@ -1,9 +1,14 @@
 // Unit tests for the support library.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "support/csv.hpp"
+#include "support/log.hpp"
 #include "support/math.hpp"
 #include "support/rng.hpp"
 #include "support/status.hpp"
@@ -112,6 +117,53 @@ TEST(Status, CheckThrowsInternalError) {
   } catch (const InternalError& e) {
     EXPECT_NE(std::string(e.what()).find("context"), std::string::npos);
   }
+}
+
+// Four threads log while the main thread flips the level and swaps the sink.
+// Every call a sink receives is one whole message, and a sink replaced by
+// set_sink is never called once set_sink has returned. Run under TSan, this
+// also shows the level and sink are race-free.
+TEST(Logger, LevelAndSinkChangeWhileThreadsLog) {
+  Logger& log = Logger::Instance();
+  const LogLevel old_level = log.level();
+  std::atomic<std::uint64_t> a{0}, b{0}, c{0};
+  auto counting = [](std::atomic<std::uint64_t>* n) -> LogSink {
+    return [n](LogLevel level, const std::string& msg) {
+      EXPECT_EQ(level, LogLevel::kWarn);
+      EXPECT_EQ(msg.rfind("worker ", 0), 0u) << msg;
+      n->fetch_add(1, std::memory_order_relaxed);
+    };
+  };
+  log.set_level(LogLevel::kWarn);
+  LogSink old_sink = log.set_sink(counting(&a));
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&stop, t] {
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        KSPEC_LOG_WARN << "worker " << t << " line " << i;
+      }
+    });
+  }
+  while (a.load() == 0) std::this_thread::yield();
+  for (int flip = 0; flip < 2000; ++flip) {
+    log.set_level(flip % 2 != 0 ? LogLevel::kError : LogLevel::kInfo);
+    log.set_sink(counting(flip % 2 != 0 ? &a : &b));
+  }
+  log.set_level(LogLevel::kWarn);
+  log.set_sink(counting(&c));
+  const std::uint64_t a_done = a.load();
+  const std::uint64_t b_done = b.load();
+  while (c.load() < 100) std::this_thread::yield();
+  stop = true;
+  for (std::thread& w : workers) w.join();
+  log.set_sink(std::move(old_sink));
+  log.set_level(old_level);
+
+  EXPECT_EQ(a.load(), a_done) << "a replaced sink was called after set_sink returned";
+  EXPECT_EQ(b.load(), b_done) << "a replaced sink was called after set_sink returned";
+  EXPECT_GE(c.load(), 100u);
 }
 
 
